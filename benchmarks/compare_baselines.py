@@ -40,6 +40,7 @@ GATED_FILES = (
     "BENCH_evalfuse.json",
     "BENCH_population.json",
     "BENCH_backend.json",
+    "BENCH_kernels.json",
 )
 
 

@@ -83,12 +83,12 @@ class CentralizedTrialRunner(TrialRunner):
                 order = state.rng.permutation(n)
                 for start in range(0, n, batch):
                     idx = order[start : start + batch]
-                    state.model.zero_grad()
+                    state.opt.zero_grad()
                     logits = state.model(state.x[idx])
                     loss, dlogits = task.loss_fn(logits, state.y[idx])
                     if not np.isfinite(loss):
                         return  # diverged: freeze, evaluation reflects it
-                    state.model.backward(dlogits)
+                    state.model.backward(dlogits, input_grad=False)
                     state.opt.step()
 
     def error_rates(self, trial: Trial) -> np.ndarray:

@@ -41,7 +41,10 @@ from repro.experiments.bank import ConfigBank
 #: 2: PR 2's ReLU forward now propagates NaN/-inf inputs instead of
 #:    zeroing them, so diverged-config trajectories can early-stop sooner
 #:    than pre-PR serial runs; pre-PR caches of diverged configs differ.
-BANK_FORMAT_VERSION = 2
+#: 3: float32 slabs keep ReLU activations and max-pool masks in float32
+#:    (they were silently float64), so float32-built banks differ;
+#:    float64 builds are unchanged bit for bit.
+BANK_FORMAT_VERSION = 3
 
 
 class BankStore:

@@ -61,15 +61,17 @@ class ClientTrainer:
         rounds in cross-device FL — a device may never be sampled twice).
         """
         rng = as_rng(rng)
-        set_flat_params(model, global_params)
+        # One walk of the module tree serves loading, gradient zeroing, the
+        # optimizer and the read-out.
+        params = model.parameters()
+        set_flat_params(params, global_params)
         model.train()
         opt = SGD(
-            model.parameters(),
+            params,
             lr=self.lr,
             momentum=self.momentum,
             weight_decay=self.weight_decay,
         )
-        params = model.parameters()
         anchors = [p.data.copy() for p in params] if self.prox_mu > 0 else None
         n = client.n
         # Divergence (lr too large) is a designed code path: overflow in the
@@ -80,22 +82,23 @@ class ClientTrainer:
                 for start in range(0, n, self.batch_size):
                     idx = order[start : start + self.batch_size]
                     xb, yb = client.x[idx], client.y[idx]
-                    model.zero_grad()
+                    opt.zero_grad()
                     logits = model(xb)
                     loss, dlogits = self.task.loss_fn(logits, yb)
                     if not np.isfinite(loss):
                         # Diverged config: stop local work; the caller sees
                         # a bad error rate, which is the signal HP tuning
                         # acts on.
-                        return get_flat_params(model)
-                    model.backward(dlogits)
+                        return get_flat_params(params)
+                    # Nothing consumes the gradient w.r.t. the batch.
+                    model.backward(dlogits, input_grad=False)
                     if anchors is not None:
                         # FedProx (Li et al., 2020): proximal pull towards
                         # the round's global parameters bounds client drift.
                         for p, anchor in zip(params, anchors):
                             p.grad += self.prox_mu * (p.data - anchor)
                     opt.step()
-        return get_flat_params(model)
+        return get_flat_params(params)
 
 
 def evaluate_client(

@@ -12,6 +12,11 @@ from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, as_rng
 
 
+def _float_dtype(x: np.ndarray) -> np.dtype:
+    """``x``'s dtype if floating, else float64 (the compute dtype)."""
+    return x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
+
+
 class Linear(Module):
     """Affine layer ``y = x W + b`` with ``W: (in, out)``."""
 
@@ -33,7 +38,7 @@ class Linear(Module):
             y = y + self.bias.data
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         x = self._x
         if x is None:
             raise RuntimeError("backward called before forward")
@@ -43,6 +48,8 @@ class Linear(Module):
         self.weight.grad += x2.T @ dy2
         if self.bias is not None:
             self.bias.grad += dy2.sum(axis=0)
+        if not input_grad:
+            return None
         return (dy2 @ self.weight.data.T).reshape(x.shape)
 
 
@@ -83,16 +90,45 @@ class Conv2D(Module):
         n = x.shape[0]
         return y.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cols is None:
             raise RuntimeError("backward called before forward")
         n, _, out_h, out_w = dy.shape
         dy2 = dy.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)  # (N*oh*ow, out_c)
         self.weight.grad += (dy2.T @ self._cols).reshape(self.weight.shape)
         self.bias.grad += dy2.sum(axis=0)
+        if not input_grad:
+            return None
         dcols = dy2 @ self.weight.data.reshape(self.out_channels, -1)
         k = self.kernel_size
         return col2im(dcols, self._x_shape, k, k, self.stride, self.pad)
+
+
+def _pool_windows(x: np.ndarray, p: int) -> np.ndarray:
+    """NCHW ``x`` as channels-last windows ``(N, H/p, p, W/p, p, C)``.
+
+    Conv2D emits an NHWC buffer viewed as NCHW (and ReLU keeps that
+    layout), so in a CNN this is a free view whose innermost axis is
+    contiguous; other layouts are copied once.
+    """
+    n, c, h, w = x.shape
+    return x.transpose(0, 2, 3, 1).reshape(n, h // p, p, w // p, p, c)
+
+
+def _window_max(windows: np.ndarray) -> np.ndarray:
+    """Max over each window of :func:`_pool_windows`: ``(N, H/p, W/p, C)``.
+
+    Taps are folded in row-major order with ``np.maximum``, so the result
+    depends on the values alone, not on the memory layout. For 2x2 windows
+    it equals NumPy's max-reduction over the window axes bit for bit in
+    the NCHW and NHWC layouts (NaNs and ``-0.0``/``0.0`` ties included);
+    with larger windows a zero tie may keep the other zero.
+    """
+    p = windows.shape[2]
+    y = windows[:, :, 0, :, 0].copy()
+    for t in range(1, p * p):
+        np.maximum(y, windows[:, :, t // p, :, t % p], out=y)
+    return y
 
 
 class MaxPool2D(Module):
@@ -109,26 +145,28 @@ class MaxPool2D(Module):
         p = self.pool_size
         if h % p or w % p:
             raise ValueError(f"MaxPool2D({p}) requires H,W divisible by {p}, got {h}x{w}")
-        xr = x.reshape(n, c, h // p, p, w // p, p)
-        y = xr.max(axis=(3, 5))
+        windows = _pool_windows(x, p)
+        y = _window_max(windows)
         # Mask of argmax positions for routing gradients. Ties split the
         # gradient, which keeps the op's Jacobian exact for gradcheck.
-        # np.equal writes the float mask directly (bool -> float64 is a
-        # safe cast), so only one full-size temporary exists at a time.
-        expanded = y[:, :, :, None, :, None]
-        mask = np.empty(xr.shape, dtype=np.float64)
-        np.equal(xr, expanded, out=mask)
-        mask /= mask.sum(axis=(3, 5), keepdims=True)
+        # np.equal writes the float mask directly (bool -> float is a safe
+        # cast). The mask follows a floating input's dtype (float32 stays
+        # float32), and the per-window tie count adds the p*p tap planes.
+        mask = np.empty(windows.shape, dtype=_float_dtype(x))
+        np.equal(windows, y[:, :, None, :, None], out=mask)
+        count = mask[:, :, 0, :, 0].copy()
+        for t in range(1, p * p):
+            count += mask[:, :, t // p, :, t % p]
+        mask /= count[:, :, None, :, None]
         self._mask, self._x_shape = mask, x.shape
-        return y
+        return y.transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        p = self.pool_size
-        dyr = dy[:, :, :, None, :, None]
-        dx = (self._mask * dyr).reshape(self._x_shape)
-        return dx
+        n, c, h, w = self._x_shape
+        dx = self._mask * dy.transpose(0, 2, 3, 1)[:, :, None, :, None]
+        return dx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 class Flatten(Module):
@@ -156,8 +194,9 @@ class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         # Copy + in-place multiply by the bool mask: one output allocation,
-        # no np.where broadcast machinery on the hot path.
-        out = x.astype(np.float64, copy=True)
+        # no np.where broadcast machinery on the hot path. A floating input
+        # keeps its dtype.
+        out = x.astype(_float_dtype(x), copy=True)
         out *= self._mask
         return out
 
@@ -250,10 +289,12 @@ class Embedding(Module):
         self._ids = ids
         return self.weight.data[ids]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._ids is None:
             raise RuntimeError("backward called before forward")
         np.add.at(self.weight.grad, self._ids.ravel(), dy.reshape(-1, self.dim))
+        if not input_grad:
+            return None
         # Ids are not differentiable; return a zero placeholder of id shape,
         # cached by shape so repeated same-shape batches don't re-allocate.
         if self._dx_zero is None or self._dx_zero.shape != self._ids.shape:

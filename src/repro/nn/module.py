@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +44,10 @@ class Module:
       pass needs.
     - ``backward(dy)`` consumes the gradient of the loss w.r.t. the output,
       *accumulates* parameter gradients into ``p.grad``, and returns the
-      gradient w.r.t. the input.
+      gradient w.r.t. the input. Layers with parameters (and containers)
+      also take ``input_grad=False``: they then accumulate parameter
+      gradients only and return ``None``, which is how training skips the
+      input gradient of a model's first layer that nothing consumes.
     - ``parameters()`` yields every :class:`Parameter` in the subtree.
 
     ``train`` toggles training-time behaviour (dropout). Layers must be
@@ -115,16 +118,15 @@ class Sequential(Module):
         if not layers:
             raise ValueError("Sequential requires at least one layer")
         self.layers = list(layers)
+        self._first_trainable = first_trainable(self.layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
-        return dy
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        return backward_chain(self.layers, dy, None if input_grad else self._first_trainable)
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self.layers)
@@ -136,26 +138,62 @@ class Sequential(Module):
         return self.layers[idx]
 
 
-def get_flat_params(module: Module) -> np.ndarray:
-    """Concatenate all parameters of ``module`` into one float64 vector.
+def first_trainable(layers: Sequence[Module]) -> int:
+    """Index of the first layer that has parameters (``len(layers)`` if none)."""
+    return next((i for i, layer in enumerate(layers) if layer.parameters()), len(layers))
 
-    The ordering matches :meth:`Module.parameters` and is stable for a given
+
+def backward_chain(
+    layers: Sequence[Module], dy: np.ndarray, first: Optional[int] = None
+) -> Optional[np.ndarray]:
+    """Backward through ``layers`` applied in order.
+
+    With ``first=None`` this returns the gradient w.r.t. the chain's input.
+    Otherwise ``first`` is :func:`first_trainable` of ``layers`` and that
+    gradient is skipped: layer ``first`` accumulates only its parameter
+    gradients (``input_grad=False``), the parameter-free layers before it
+    (whose backward would only produce the input gradient) do not run, and
+    the result is ``None``.
+    """
+    if first is None:
+        for layer in reversed(layers):
+            dy = layer.backward(dy)
+        return dy
+    for layer in reversed(layers[first + 1 :]):
+        dy = layer.backward(dy)
+    if first < len(layers):
+        layers[first].backward(dy, input_grad=False)
+    return None
+
+
+def _param_list(source: Union[Module, Sequence[Parameter]]) -> Sequence[Parameter]:
+    return source.parameters() if isinstance(source, Module) else source
+
+
+def get_flat_params(source: Union[Module, Sequence[Parameter]]) -> np.ndarray:
+    """Concatenate all parameters into one float64 vector.
+
+    ``source`` is a module or its :meth:`Module.parameters` list (callers
+    that already hold the list skip a second walk of the module tree). The
+    ordering matches :meth:`Module.parameters` and is stable for a given
     architecture, which is what federated aggregation relies on.
     """
-    params = module.parameters()
+    params = _param_list(source)
     if not params:
         return np.zeros(0, dtype=np.float64)
     return np.concatenate([p.data.ravel() for p in params])
 
 
-def set_flat_params(module: Module, flat: np.ndarray) -> None:
-    """Write ``flat`` back into the module's parameters (inverse of get)."""
+def set_flat_params(source: Union[Module, Sequence[Parameter]], flat: np.ndarray) -> None:
+    """Write ``flat`` back into the parameters (inverse of get); ``source``
+    is a module or its parameter list, as in :func:`get_flat_params`."""
+    params = _param_list(source)
     flat = np.asarray(flat, dtype=np.float64)
-    expected = module.num_parameters()
+    expected = sum(p.size for p in params)
     if flat.ndim != 1 or flat.size != expected:
         raise ValueError(f"expected flat vector of size {expected}, got shape {flat.shape}")
     offset = 0
-    for p in module.parameters():
+    for p in params:
         chunk = flat[offset : offset + p.size]
         p.data[...] = chunk.reshape(p.shape)
         offset += p.size

@@ -142,7 +142,7 @@ class LSTM(Module):
             inputs = outputs
         return inputs
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._caches is None:
             raise RuntimeError("backward called before forward")
         n, t_steps, h_sz = self._batch, self._t_steps, self.hidden_size
@@ -160,4 +160,4 @@ class LSTM(Module):
                 dx_t, dh, dc = cell.step_backward(dh_total, dc, self._caches[layer][t])
                 dx[:, t, :] = dx_t
             dinputs = dx
-        return dinputs
+        return dinputs if input_grad else None

@@ -68,9 +68,12 @@ from repro.nn.layers import (
     ReLU,
     Sigmoid,
     Tanh,
+    _float_dtype,
+    _pool_windows,
+    _window_max,
 )
 from repro.nn.losses import mse_loss, sequence_cross_entropy, softmax_cross_entropy
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter, Sequential, backward_chain, first_trainable
 from repro.nn.recurrent import LSTM, _sigmoid
 
 
@@ -123,7 +126,7 @@ class StackedLinear(Module):
             y += self.bias.data[:k, None, :]
         return y.reshape(x.shape[:-1] + (self.out_features,))
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         x = self._x
         if x is None:
             raise RuntimeError("backward called before forward")
@@ -133,6 +136,8 @@ class StackedLinear(Module):
         self.weight.grad[:k] += np.matmul(x3.transpose(0, 2, 1), dy3)
         if self.bias is not None:
             self.bias.grad[:k] += dy3.sum(axis=1)
+        if not input_grad:
+            return None
         return np.matmul(dy3, self.weight.data[:k].transpose(0, 2, 1)).reshape(x.shape)
 
 
@@ -201,7 +206,7 @@ class StackedConv2D(Module):
         y += self.bias.data[:k, None, :]
         return y.reshape(k, b, out_h, out_w, self.out_channels).transpose(0, 1, 4, 2, 3)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cols is None:
             raise RuntimeError("backward called before forward")
         k, b = self._x_shape[:2]
@@ -211,6 +216,8 @@ class StackedConv2D(Module):
             (k,) + self.weight.shape[1:]
         )
         self.bias.grad[:k] += dy2.sum(axis=1)
+        if not input_grad:
+            return None
         w2 = self.weight.data[:k].reshape(k, self.out_channels, -1)
         dcols = np.matmul(dy2, w2).reshape(k * b * out_h * out_w, -1)
         ksz = self.kernel_size
@@ -245,12 +252,9 @@ class StackedMaxPool2D(MaxPool2D):
         # shared, and no argmax mask is cached.
         p = self.pool_size
         if shared:
-            n, c, h, w = x.shape
-            return x.reshape(n, c, h // p, p, w // p, p).max(axis=(3, 5)), True
+            return _window_max(_pool_windows(x, p)).transpose(0, 3, 1, 2), True
         kk, b = x.shape[:2]
-        x2 = x.reshape((kk * b,) + x.shape[2:])
-        n, c, h, w = x2.shape
-        y = x2.reshape(n, c, h // p, p, w // p, p).max(axis=(3, 5))
+        y = _window_max(_pool_windows(x.reshape((kk * b,) + x.shape[2:]), p)).transpose(0, 3, 1, 2)
         return y.reshape((kk, b) + y.shape[1:]), False
 
 
@@ -278,8 +282,7 @@ def _relu_eval(x: np.ndarray) -> np.ndarray:
     # Mirrors ReLU.forward exactly (copy + in-place bool-mask multiply),
     # including its NaN/inf propagation for diverged models. The compute
     # dtype follows the slab (float32 slabs stay float32).
-    dt = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-    out = x.astype(dt, copy=True)
+    out = x.astype(_float_dtype(x), copy=True)
     out *= x > 0
     return out
 
@@ -484,10 +487,12 @@ class StackedEmbedding(Module):
         self._copy_idx = np.arange(k).reshape((k,) + (1,) * (ids.ndim - 1))
         return self.weight.data[self._copy_idx, ids]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._ids is None:
             raise RuntimeError("backward called before forward")
         np.add.at(self.weight.grad, (self._copy_idx, self._ids), dy)
+        if not input_grad:
+            return None
         # Ids are not differentiable; shape-cached zero placeholder, as in
         # the serial layer.
         if (
@@ -623,7 +628,7 @@ class StackedLSTM(Module):
             inputs = outputs
         return inputs
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._caches is None:
             raise RuntimeError("backward called before forward")
         k, n, t_steps, h_sz = self._k, self._batch, self._t_steps, self.hidden_size
@@ -640,7 +645,7 @@ class StackedLSTM(Module):
                 dx_t, dh, dc = cell.step_backward(dh_total, dc, self._caches[layer][t])
                 dx[:, :, t, :] = dx_t
             dinputs = dx
-        return dinputs
+        return dinputs if input_grad else None
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
         # Cache-free inference mirroring the serial cell's arithmetic
@@ -1000,6 +1005,7 @@ class StackedModel(Module):
         self.layers: List[Module] = [
             STACK_FACTORIES[type(leaf)](leaf, n_copies) for leaf in _iter_leaves(template)
         ]
+        self._first_trainable = first_trainable(self.layers)
         template_params = [p for leaf in _iter_leaves(template) for p in leaf.parameters()]
         self.n_params = sum(p.size for p in template_params)
         self._slab = np.empty((n_copies, self.n_params), dtype=self.dtype)
@@ -1063,10 +1069,8 @@ class StackedModel(Module):
             x = layer.forward(x)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
-        return dy
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        return backward_chain(self.layers, dy, None if input_grad else self._first_trainable)
 
     def forward_eval(self, x: np.ndarray, k: Optional[int] = None) -> np.ndarray:
         """Inference of the leading ``k`` copies over ONE shared input batch.
